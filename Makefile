@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check alloc-guard shard-balance bench bench-smoke codecgen codecgen-check
+.PHONY: build test vet race check alloc-guard shard-balance shape-repeat bench bench-smoke codecgen codecgen-check
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,14 @@ alloc-guard:
 # vnode regression that skews placement fails TestRingBalanceGuard.
 shard-balance:
 	$(GO) test -run TestRingBalanceGuard -count=1 ./internal/shard/
+
+# The shape tests that ride consumer delivery timing, five times each: the
+# order tier's depth cap and publication order, the broker crash's loss
+# contrast, and push vs poll. A consumer-loop regression that only bites
+# under some schedules shows up here. Not part of check (about a minute).
+shape-repeat:
+	$(GO) test -run 'TestEnqueueShedsWhenFull|TestOrdersCommitInPublicationOrder' -count=5 ./internal/services/ecommerce/
+	$(GO) test -run 'TestBrokerCrashShape|TestPushShape' -count=5 ./internal/experiments/
 
 check: vet race build test alloc-guard shard-balance codecgen-check
 

@@ -78,10 +78,7 @@ type bcResult struct {
 
 // bcRun boots one arm, kills shard 0's primary broker mid-drive, and
 // watches the probe follower's timeline until the delivered set settles.
-// push switches the fanout consumers from poll to push delivery — the push
-// experiment reruns the replicated crash under it to show the durability
-// contract carries over to streamed delivery.
-func bcRun(replicated, push bool, seed int64) (bcResult, error) {
+func bcRun(replicated bool, seed int64) (bcResult, error) {
 	inj := fault.NewInjector(seed)
 	app := core.NewApp("brokercrash", core.Options{
 		DisableTracing: true,
@@ -107,7 +104,6 @@ func bcRun(replicated, push bool, seed int64) (bcResult, error) {
 		FanoutConsumers: 2,
 		FanoutWorkers:   bcStoreSlots,
 		BrokerShards:    2,
-		PushFanout:      push,
 	}
 	if replicated {
 		cfg.BrokerReplicas = 2
@@ -294,7 +290,7 @@ func BrokerCrash() *Report {
 		if replicated {
 			arm = "replicated (2 shards x 2)"
 		}
-		res, err := bcRun(replicated, false, 41)
+		res, err := bcRun(replicated, 41)
 		if err != nil {
 			r.Notes = append(r.Notes, fmt.Sprintf("brokercrash %s: %v", arm, err))
 			continue

@@ -342,9 +342,10 @@ func (q *Queue) Receive(leaseFor time.Duration) (Message, bool) {
 }
 
 // ReceiveWait is Receive bounded by a wait budget: it returns ok=false once
-// wait elapses with nothing deliverable. This is the long-poll primitive the
-// networked broker service builds Consume on — consumers park here instead
-// of hot-polling, and a publish or lease expiry wakes them early.
+// wait elapses with nothing deliverable. This is the primitive the networked
+// broker service builds Consume and the Push stream on — consumers park
+// here instead of hot-polling, and a publish or lease expiry wakes them
+// early.
 func (q *Queue) ReceiveWait(leaseFor, wait time.Duration) (Message, bool) {
 	if wait <= 0 {
 		return q.TryReceive(leaseFor)

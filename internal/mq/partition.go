@@ -27,8 +27,10 @@ type Bus interface {
 	PublishKey(ctx context.Context, topic, key string, body []byte) (uint64, error)
 	// Subscribe registers a consumer group on a topic with the given bounds.
 	Subscribe(ctx context.Context, topic, group string, cfg QueueConfig) error
-	// Consume long-polls one message for the group.
-	Consume(ctx context.Context, topic, group string, lease, wait time.Duration) (ConsumeResp, error)
+	// Push opens a demand-gated push-delivery session for the group on the
+	// topic; lease bounds per-message processing before redelivery.
+	// Consumers run sessions through StartConsumer.
+	Push(ctx context.Context, topic, group string, lease time.Duration) (Deliveries, error)
 	// Ack settles a consumed message as done.
 	Ack(ctx context.Context, topic, group string, m ConsumeResp) error
 	// Nack returns a consumed message for redelivery (or dead-lettering).
@@ -57,9 +59,8 @@ var partNode atomic.Uint64
 //     identically from registry state, needing no election), then mirrors
 //     to the remaining replicas before returning. An acked publish is
 //     therefore on every live replica of its shard: "acked ⇒ mirrored".
-//   - Consume polls only shard primaries (mirror copies are insurance, not
-//     a second delivery stream), rotating across shards and splitting the
-//     wait budget between them.
+//   - Push streams only from shard primaries (mirror copies are insurance,
+//     not a second delivery stream), one standing stream per shard.
 //   - Ack/Nack settle by key on every replica of the owning shard, so the
 //     mirror copies retire with the primary's. Settles that race ahead of a
 //     still-propagating mirror are absorbed by the broker's tombstones.
@@ -173,8 +174,10 @@ func (p *Partitioned) Subscribe(ctx context.Context, topic, group string, cfg Qu
 const consumeGrace = 100 * time.Millisecond
 
 // Consume polls the shard primaries round-robin, splitting the wait budget
-// across shards. Dead shards (no live replicas, or a primary that errors)
-// are skipped; an empty sweep returns OK=false like a single broker would.
+// across shards. It is not part of Bus — app consumers take push delivery —
+// and serves the push experiment's poll arm. Dead shards (no live replicas,
+// or a primary that errors) are skipped; an empty sweep returns OK=false
+// like a single broker would.
 //
 // The whole sweep is bounded by wait plus ONE consumeGrace, not one per
 // shard: per-shard polls are clamped to the remaining overall budget, so a

@@ -144,6 +144,119 @@ func TestPushSessionCloseWakesNext(t *testing.T) {
 	}
 }
 
+// TestPushDemandGate pins the demand gate: a push session leases only
+// against Next, so past the messages Next returned each shard stream holds
+// at most one leased, undelivered message and the rest of the backlog stays
+// queued at the broker — where a crash or a depth cap can see it. On a
+// single broker a Nacked message is therefore the very next delivery.
+func TestPushDemandGate(t *testing.T) {
+	const backlog = 10
+	// maxInFlight samples the group's in-flight count for a while after Next
+	// and returns the peak.
+	maxInFlight := func(stats func() Stats) int {
+		peak := 0
+		for end := time.Now().Add(200 * time.Millisecond); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+			peak = max(peak, stats().InFlight)
+		}
+		return peak
+	}
+	ctx := context.Background()
+
+	t.Run("single", func(t *testing.T) {
+		b, bus := bootPushBroker(t)
+		if err := bus.Subscribe(ctx, "t", "g", QueueConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < backlog; i++ {
+			if _, err := bus.Publish(ctx, "t", []byte(fmt.Sprintf("m%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := bus.Push(ctx, "t", "g", time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		first, err := d.Next()
+		if err != nil || string(first.Body) != "m0" {
+			t.Fatalf("first delivery = %+v, %v; want m0", first, err)
+		}
+		if peak := maxInFlight(b.Topic("t").Subscribe("g").Stats); peak > 1+1 {
+			t.Fatalf("in-flight peaked at %d after one Next; want <= 2 (the returned message plus one per stream)", peak)
+		}
+		if err := bus.Nack(ctx, "t", "g", first); err != nil {
+			t.Fatal(err)
+		}
+		again, err := d.Next()
+		if err != nil || string(again.Body) != "m0" || again.Attempts != 2 {
+			t.Fatalf("delivery after Nack = %q attempt %d, %v; want m0 attempt 2", again.Body, again.Attempts, err)
+		}
+	})
+
+	t.Run("partitioned", func(t *testing.T) {
+		const shards = 2
+		rig, bus := bootPartitioned(t, shards, 1)
+		if err := bus.Subscribe(ctx, "t", "g", QueueConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < backlog; i++ {
+			if _, err := bus.PublishKey(ctx, "t", fmt.Sprintf("k%d", i), []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := bus.Push(ctx, "t", "g", time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		if _, err := d.Next(); err != nil {
+			t.Fatal(err)
+		}
+		stats := func() Stats { return rig.cluster.GroupStats("t", "g") }
+		if peak := maxInFlight(stats); peak > 1+shards {
+			t.Fatalf("in-flight peaked at %d after one Next; want <= %d (the returned message plus one per shard stream)", peak, 1+shards)
+		}
+	})
+}
+
+// TestConsumerSettles drives the shared consumer loop: a handler error
+// Nacks the message back for redelivery, a nil return Acks it, and Close
+// stops the loop.
+func TestConsumerSettles(t *testing.T) {
+	b, bus := bootPushBroker(t)
+	ctx := context.Background()
+	if err := bus.Subscribe(ctx, "t", "g", QueueConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	attempts := make(chan int, 4)
+	c := StartConsumer(bus, "t", "g", time.Minute, func(ctx context.Context, m ConsumeResp) error {
+		attempts <- m.Attempts
+		if m.Attempts == 1 {
+			return fmt.Errorf("transient")
+		}
+		return nil
+	})
+	if _, err := bus.Publish(ctx, "t", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	for want := 1; want <= 2; want++ {
+		select {
+		case got := <-attempts:
+			if got != want {
+				t.Fatalf("delivery attempt %d, want %d", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("attempt %d never delivered", want)
+		}
+	}
+	waitUntil(t, func() bool {
+		s := b.Topic("t").Subscribe("g").Stats()
+		return s.Queued == 0 && s.InFlight == 0 && s.Acked == 1
+	})
+	c.Close()
+	c.Close() // idempotent
+}
+
 // TestPushPartitioned drives push across the sharded replicated tier: every
 // keyed message lands exactly once through the merged per-shard streams and
 // key-addressed acks retire mirrors as usual.

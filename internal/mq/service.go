@@ -72,9 +72,9 @@ type ConsumeResp struct {
 	OK       bool
 }
 
-// PushReq opens a push-delivery stream: the broker leases messages for the
-// group as they become deliverable and streams each as a ConsumeResp item,
-// one standing stream replacing the consumer's poll loop. LeaseNs bounds
+// PushReq opens a push-delivery stream: for each demand item the consumer
+// sends up the stream, the broker leases the group's next deliverable
+// message and streams it back as a ConsumeResp item. LeaseNs bounds
 // per-message processing exactly as in ConsumeReq; settles still travel as
 // ordinary Ack/Nack calls.
 type PushReq struct {
@@ -179,10 +179,11 @@ func queueNameFor(topic, group, queue string) (string, error) {
 }
 
 // RegisterService exposes broker as an RPC microservice on srv with methods
-// Publish, Subscribe, Consume, Ack, Nack, and Stats — the networked broker
-// tier the async application paths publish through. Ack and Nack are safe
-// to invoke one-way: a lost settle only costs a redelivery, which
-// at-least-once consumers already tolerate.
+// Publish, Mirror, Subscribe, Consume, the Push stream, Ack, Nack, Peek,
+// Redrive, and Stats — the networked broker tier the async application
+// paths publish through. Ack and Nack are safe to invoke one-way: a lost
+// settle only costs a redelivery, which at-least-once consumers already
+// tolerate.
 func RegisterService(srv *rpc.Server, broker *Broker) {
 	// Server shutdown must wake parked long-pollers: Close runs after the
 	// server stops accepting but before it waits on in-flight handlers, so a
@@ -282,37 +283,39 @@ func RegisterService(srv *rpc.Server, broker *Broker) {
 		if err != nil {
 			return err
 		}
+		lease := time.Duration(req.LeaseNs)
 		for {
-			// Short wait slices — a local cond wait, no RPCs — keep the loop
-			// responsive to stream teardown (client gone, conn death, server
-			// shutdown) without busy-spinning an idle queue.
-			msg, ok := q.ReceiveWait(time.Duration(req.LeaseNs), pushWaitSlice)
-			select {
-			case <-st.Done():
+			// Demand gate: lease nothing until the consumer asks for its next
+			// message, so the stream holds at most one leased, undelivered
+			// message and the backlog stays here. The client's CloseSend or
+			// abort ends the wait.
+			if _, err := st.Recv(); err != nil {
+				return nil
+			}
+			var msg Message
+			for ok := false; !ok; {
+				// Short wait slices — a local cond wait, no RPCs — keep the loop
+				// responsive to stream teardown (client gone, conn death, server
+				// shutdown) without busy-spinning an idle queue.
+				msg, ok = q.ReceiveWait(lease, pushWaitSlice)
+				select {
+				case <-st.Done():
+				case <-ctx.Done():
+				default:
+					if !ok && q.Closed() {
+						// Same coded signal the poll path gives: fail over to a
+						// sibling replica, don't come back here.
+						return rpc.Errorf(rpc.CodeUnavailable, "mq: queue %q closed", q.Name())
+					}
+					continue
+				}
 				if ok {
 					// Leased after the client left: hand it straight back so a
 					// failed-over consumer gets it now, not at lease expiry.
 					q.Nack(msg.ID)
 				}
 				return nil
-			case <-ctx.Done():
-				if ok {
-					q.Nack(msg.ID)
-				}
-				return nil
-			default:
 			}
-			if !ok {
-				if q.Closed() {
-					// Same coded signal the poll path gives: fail over to a
-					// sibling replica, don't come back here.
-					return rpc.Errorf(rpc.CodeUnavailable, "mq: queue %q closed", q.Name())
-				}
-				continue
-			}
-			// Send blocks while the client's window is exhausted — backpressure
-			// with the message leased, so a slow consumer throttles delivery
-			// without breaking at-least-once.
 			err := st.SendMsg(ConsumeResp{ID: msg.ID, Key: msg.Key, Body: msg.Body, Attempts: msg.Attempts, OK: true})
 			if err != nil {
 				q.Nack(msg.ID) // stream died mid-delivery; redeliver immediately
@@ -429,7 +432,8 @@ func (c Client) Subscribe(ctx context.Context, topic, group string, cfg QueueCon
 	}, nil)
 }
 
-// Consume long-polls one message for the group.
+// Consume long-polls one message for the group — the poll path the push
+// experiment contrasts with push delivery; it is not part of Bus.
 func (c Client) Consume(ctx context.Context, topic, group string, lease, wait time.Duration) (ConsumeResp, error) {
 	var resp ConsumeResp
 	err := c.C.Call(ctx, "Consume", ConsumeReq{

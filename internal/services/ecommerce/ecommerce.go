@@ -163,7 +163,7 @@ func New(app *core.App, cfg Config) (*Ecommerce, error) {
 		return nil, fmt.Errorf("ecommerce: boot: %w", err)
 	}
 	// Stop the commit consumers on app teardown even when the caller never
-	// calls Ecommerce.Close: their long polls must not outlive the stack.
+	// calls Ecommerce.Close: their push sessions must not outlive the stack.
 	app.OnClose(ec.Close)
 
 	if _, err := app.StartREST("ecom.frontend", func(s *rest.Server) {

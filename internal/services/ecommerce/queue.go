@@ -2,8 +2,7 @@ package ecommerce
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
+	"errors"
 	"time"
 
 	"dsb/internal/mq"
@@ -15,11 +14,12 @@ import (
 // registerQueueMaster installs the queueMaster service: Enqueue publishes
 // the order ID to the broker tier's orderQueue topic and returns once the
 // broker has acknowledged it, and a pool of consumer workers in the
-// "commit" consumer group receives, validates stock, decrements inventory,
-// and marks each order committed. The broker redelivers any order whose
-// worker dies mid-commit (lease expiry), so a crashed worker never loses an
-// order; with one worker, commits stay strictly serialized — the point the
-// paper identifies as constraining queueMaster's scalability at high load.
+// "commit" consumer group takes pushed orders one at a time, validates
+// stock, decrements inventory, and marks each order committed. The broker
+// redelivers any order whose worker dies mid-commit (lease expiry), so a
+// crashed worker never loses an order; with one worker, commits stay
+// strictly serialized — the point the paper identifies as constraining
+// queueMaster's scalability at high load.
 
 // orderTopic and orderGroup name the broker topic orders flow through and
 // the consumer group that commits them.
@@ -45,10 +45,6 @@ const orderMaxAttempts = 512
 // that just said "not now".
 const overloadRetryBackoff = 5 * time.Millisecond
 
-// consumePoll bounds each long-poll against the broker; it is also the
-// worst-case delay between Close and a parked worker noticing.
-const consumePoll = 250 * time.Millisecond
-
 // orderLease bounds one commit attempt before the broker assumes the
 // worker died and redelivers.
 const orderLease = 30 * time.Second
@@ -62,20 +58,17 @@ func ConfigureOrderBroker(b *mq.Broker) {
 	t.Subscribe(orderGroup)
 }
 
+// errCommitShed nacks an order whose commit the catalogue tier shed.
+var errCommitShed = errors.New("queueMaster: commit shed by catalogue")
+
 type queueMaster struct {
-	bus       mq.Bus
 	db        svcutil.DB
 	catalogue svcutil.Caller
-	wg        sync.WaitGroup
-	stop      chan struct{}
-	closed    atomic.Bool
+	workers   []*mq.Consumer
 }
 
 func registerQueueMaster(srv *rpc.Server, bus mq.Bus, db svcutil.DB, catalogue svcutil.Caller, workers int) *queueMaster {
-	if workers < 1 {
-		workers = 1
-	}
-	qm := &queueMaster{bus: bus, db: db, catalogue: catalogue, stop: make(chan struct{})}
+	qm := &queueMaster{db: db, catalogue: catalogue}
 	svcutil.Handle(srv, "Enqueue", func(ctx *rpc.Ctx, req *GetOrderReq) (*struct{}, error) {
 		if req.ID == "" {
 			return nil, rpc.Errorf(rpc.CodeBadRequest, "queueMaster: order ID required")
@@ -84,60 +77,32 @@ func registerQueueMaster(srv *rpc.Server, bus mq.Bus, db svcutil.DB, catalogue s
 		// broker's CodeOverloaded to the caller unchanged. The order ID is
 		// the message key: an enqueue retried through a broker failover
 		// dedups instead of committing twice.
-		_, err := qm.bus.PublishKey(ctx, orderTopic, req.ID, []byte(req.ID))
+		_, err := bus.PublishKey(ctx, orderTopic, req.ID, []byte(req.ID))
 		return nil, err
 	})
-	svcutil.Handle(srv, "Depth", func(ctx *rpc.Ctx, req *struct{}) (*struct{ Depth int64 }, error) {
-		s, err := qm.bus.Stats(ctx, orderTopic, orderGroup)
-		if err != nil {
-			return nil, err
-		}
-		return &struct{ Depth int64 }{Depth: s.Lag()}, nil
-	})
-	qm.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go qm.consume()
+	for i := 0; i < max(workers, 1); i++ {
+		qm.workers = append(qm.workers, mq.StartConsumer(bus, orderTopic, orderGroup, orderLease, qm.handle))
 	}
 	return qm
 }
 
-// consume is one commit worker: a member of the "commit" consumer group
-// long-polling the broker. A commit shed by the catalogue tier
-// (CodeOverloaded) is not a verdict on the order: the message is Nacked back
-// to the broker and redelivered once the tier has room, instead of being
-// swallowed into a StatusRejected like any other error.
-func (qm *queueMaster) consume() {
-	defer qm.wg.Done()
-	ctx := context.Background()
-	for {
-		select {
-		case <-qm.stop:
-			return
-		default:
-		}
-		cctx, cancel := context.WithTimeout(ctx, consumePoll+time.Second)
-		msg, err := qm.bus.Consume(cctx, orderTopic, orderGroup, orderLease, consumePoll)
-		cancel()
-		if err != nil {
-			if qm.closed.Load() {
-				return
-			}
-			time.Sleep(overloadRetryBackoff) // broker unreachable: don't hot-loop
-			continue
-		}
-		if !msg.OK {
-			continue // poll expired empty
-		}
-		if retry := qm.commit(string(msg.Body)); retry && !qm.closed.Load() {
-			qm.bus.Nack(ctx, orderTopic, orderGroup, msg) //nolint:errcheck // lease expiry redelivers anyway
-			time.Sleep(overloadRetryBackoff)
-			continue
-		}
-		// On teardown a still-shed order is acked away (it keeps StatusQueued
-		// in the store) rather than spinning Close forever. The ack itself is
-		// one-way: a lost ack only costs a redelivery.
-		qm.bus.Ack(ctx, orderTopic, orderGroup, msg) //nolint:errcheck
+// handle is one commit worker's step: a member of the "commit" consumer
+// group holding one pushed order at a time. A commit shed by the catalogue
+// tier (CodeOverloaded) is not a verdict on the order: after a short
+// backoff — no hot loop on a downstream that just said "not now" — the
+// order is Nacked back to the front of the queue and redelivered once the
+// tier has room, instead of being swallowed into a StatusRejected.
+func (qm *queueMaster) handle(ctx context.Context, msg mq.ConsumeResp) error {
+	if !qm.commit(string(msg.Body)) {
+		return nil
 	}
+	t := time.NewTimer(overloadRetryBackoff)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+	}
+	return errCommitShed
 }
 
 // commit applies one order's stock decrements. It returns true when the
@@ -176,13 +141,11 @@ func (qm *queueMaster) commit(orderID string) (retry bool) {
 	return false
 }
 
-// Close stops the consumer workers; a worker parked in a long poll notices
-// within consumePoll. Unprocessed orders stay with the broker. Idempotent:
-// both the deployment's Close and the app's OnClose hook may call it.
+// Close stops the consumer workers. Unprocessed orders, and an order whose
+// commit is still shed, stay with the broker. Idempotent: both the
+// deployment's Close and the app's OnClose hook may call it.
 func (qm *queueMaster) Close() {
-	if !qm.closed.CompareAndSwap(false, true) {
-		return
+	for _, w := range qm.workers {
+		w.Close()
 	}
-	close(qm.stop)
-	qm.wg.Wait()
 }

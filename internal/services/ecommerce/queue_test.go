@@ -3,6 +3,7 @@ package ecommerce
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -164,5 +165,43 @@ func TestEnqueueShedsWhenFull(t *testing.T) {
 	err := enqueue.Call(ctx, "Enqueue", GetOrderReq{ID: "ord-overflow"}, nil)
 	if !transport.IsCode(err, transport.CodeOverloaded) {
 		t.Fatalf("enqueue beyond cap = %v, want CodeOverloaded", err)
+	}
+}
+
+// TestCloseStopsOrderConsumers shuts the deployment down with the commit
+// workers parked on their standing push streams: Close must return within
+// a second, and once the app is closed every session, stream, and reopen
+// loop must have unwound (goroutines back to the pre-boot baseline).
+func TestCloseStopsOrderConsumers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ec := bootEcom(t)
+	ctx := context.Background()
+	token := login(t, ec, "closer", 100000)
+	if err := ec.Cart.Call(ctx, "Add", CartAddReq{Username: "closer", ItemID: "sock-red", Quantity: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var placed PlaceOrderResp
+	if err := ec.Orders.Call(ctx, "Place", PlaceOrderReq{Token: token, Shipping: "standard"}, &placed); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ec.WaitForOrder(placed.Order.ID, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { ec.Close(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Close did not return within 1s; a commit worker is stuck on its push stream")
+	}
+	ec.App.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+5 {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutine leak: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:n])
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }

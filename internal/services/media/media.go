@@ -91,7 +91,7 @@ type Media struct {
 	Broker *mq.Cluster
 
 	mu      sync.Mutex
-	workers []*reviewWorker
+	workers []*mq.Consumer
 }
 
 // DrainReviews blocks until the enrich consumer group's backlog reaches
@@ -100,20 +100,7 @@ type Media struct {
 // asserting the rating aggregate or search index. A nil-broker (sync)
 // deployment drains trivially.
 func (m *Media) DrainReviews(timeout time.Duration) error {
-	if m.Broker == nil {
-		return nil
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		lag := m.Broker.GroupLag(reviewTopic, reviewGroup)
-		if lag == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("media: review backlog still %d after %v", lag, timeout)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	return m.Broker.Drain(reviewTopic, reviewGroup, timeout)
 }
 
 // Close stops the review enrich workers; call before closing the app.
@@ -129,7 +116,7 @@ func (m *Media) Close() {
 }
 
 // addWorker records an enrich replica for teardown.
-func (m *Media) addWorker(rw *reviewWorker) {
+func (m *Media) addWorker(rw *mq.Consumer) {
 	m.mu.Lock()
 	m.workers = append(m.workers, rw)
 	m.mu.Unlock()
@@ -223,7 +210,7 @@ func New(app *core.App, cfg Config) (*Media, error) {
 	})
 	if cfg.AsyncReviews {
 		start("reviewWorker", func(s *rpc.Server) {
-			m.addWorker(registerReviewWorker(s,
+			m.addWorker(startReviewWorker(
 				stack.MQ("reviewWorker", "broker"),
 				cl("reviewWorker", "movieDB"),
 				cl("reviewWorker", "reviewSearch")))
@@ -251,7 +238,7 @@ func New(app *core.App, cfg Config) (*Media, error) {
 		return nil, fmt.Errorf("media: boot: %w", err)
 	}
 	// Stop the enrich workers on app teardown even when the caller never
-	// calls Media.Close: their long polls must not outlive the stack.
+	// calls Media.Close: their push sessions must not outlive the stack.
 	app.OnClose(m.Close)
 
 	// Streaming tier (nginx-hls) with its NFS-equivalent blob store.

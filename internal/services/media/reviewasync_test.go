@@ -2,6 +2,7 @@ package media
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -83,5 +84,40 @@ func TestAsyncReviewsReadYourWrites(t *testing.T) {
 	}
 	if movie.Movie.NumRating != 2 || movie.Movie.AvgRating != 7 {
 		t.Fatalf("aggregate after second review = %+v", movie.Movie)
+	}
+}
+
+// TestCloseStopsReviewWorkers shuts the deployment down with the enrich
+// workers parked on their standing push streams: Close must return within
+// a second, and once the app is closed every session, stream, and reopen
+// loop must have unwound (goroutines back to the pre-boot baseline).
+func TestCloseStopsReviewWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m := bootMediaAsync(t)
+	token := register(t, m, "closer")
+	if err := m.ComposeReview.Call(context.Background(), "Compose", ComposeReviewReq{
+		Token: token, MovieTitle: "The Heap", Text: "closing credits", Rating: 7,
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.DrainReviews(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { m.Close(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Second):
+		t.Fatal("Close did not return within 1s; an enrich worker is stuck on its push stream")
+	}
+	m.App.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before+5 {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutine leak: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:n])
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }

@@ -98,11 +98,11 @@ func TestAsyncFanoutManyPosts(t *testing.T) {
 	}
 }
 
-// TestPushFanoutDelivery runs the async path in push mode over a sharded
-// broker tier: consumers take delivery on standing streams instead of
-// polling, and followers must converge exactly as under polling.
+// TestPushFanoutDelivery runs the async path over a sharded broker tier:
+// each consumer takes delivery on one standing stream per shard primary,
+// and followers must converge exactly as on a single broker.
 func TestPushFanoutDelivery(t *testing.T) {
-	sn, tokens := bootAsync(t, Config{PushFanout: true, BrokerShards: 2, FanoutConsumers: 2}, "alice", "bob", "carol")
+	sn, tokens := bootAsync(t, Config{BrokerShards: 2, FanoutConsumers: 2}, "alice", "bob", "carol")
 	ctx := context.Background()
 	for _, f := range []string{"bob", "carol"} {
 		if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: f, Followee: "alice"}, nil); err != nil {
@@ -130,29 +130,8 @@ func TestPushFanoutDelivery(t *testing.T) {
 	}
 }
 
-// TestPushFanoutClose mirrors the shutdown test in push mode: Close must
-// not hang on a consumer parked in a standing push stream.
-func TestPushFanoutClose(t *testing.T) {
-	sn, tokens := bootAsync(t, Config{PushFanout: true}, "alice", "bob")
-	ctx := context.Background()
-	if err := sn.Graph.Call(ctx, "Follow", FollowReq{Follower: "bob", Followee: "alice"}, nil); err != nil {
-		t.Fatal(err)
-	}
-	compose(t, sn, tokens["alice"], "before close")
-	if err := sn.DrainFanout(5 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() { sn.Close(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return; consumer stuck in push stream")
-	}
-}
-
 // TestAsyncFanoutClose stops the consumer tier cleanly: Close returns (no
-// deadlock against a parked long poll) and a post composed afterwards still
+// deadlock against a consumer parked on its push stream) and a post composed afterwards still
 // succeeds — the write path only needs the broker ack, not a live consumer.
 func TestAsyncFanoutClose(t *testing.T) {
 	sn, tokens := bootAsync(t, Config{}, "alice", "bob")
@@ -169,7 +148,7 @@ func TestAsyncFanoutClose(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not return; consumer stuck in long poll")
+		t.Fatal("Close did not return; consumer stuck in push stream")
 	}
 	// The write path survives: compose returns at broker ack and the author
 	// still reads their own write; the event just waits for a consumer.

@@ -62,15 +62,6 @@ type Config struct {
 	// broker crash: when the ring evicts the dead instance, consumers fail
 	// over and leased-but-unacked messages redeliver from a mirror.
 	BrokerReplicas int
-	// PushFanout switches the fanout consumer tier from long-poll Consume
-	// loops to standing push streams: each consumer opens one Push stream
-	// per broker (per shard primary on a partitioned tier) and the broker
-	// streams FanoutEvents as they arrive — no idle-poll RPCs, no
-	// per-shard grace tax. Delivery stays lease-based at-least-once; a
-	// consumer whose stream dies reopens against the surviving replica.
-	// Only meaningful with AsyncFanout; polling remains the default (and
-	// the ablation arm of the push experiment).
-	PushFanout bool
 	// DisableCoalescing turns off miss coalescing on the cache-aside read
 	// paths (timelines, posts, profiles), so every concurrent miss becomes
 	// its own backing-store read. Used by the hotpath experiment's
@@ -128,12 +119,12 @@ type SocialNetwork struct {
 	Broker *mq.Cluster
 
 	mu        sync.Mutex
-	consumers []*fanoutConsumer
+	consumers []*mq.Consumer
 }
 
 // addConsumer records a fanout replica for teardown; replicas spawned by
 // the control plane at runtime register here too.
-func (sn *SocialNetwork) addConsumer(fc *fanoutConsumer) {
+func (sn *SocialNetwork) addConsumer(fc *mq.Consumer) {
 	sn.mu.Lock()
 	sn.consumers = append(sn.consumers, fc)
 	sn.mu.Unlock()
@@ -145,20 +136,7 @@ func (sn *SocialNetwork) addConsumer(fc *fanoutConsumer) {
 // tests use before asserting follower-visible state. A nil-broker (sync
 // fan-out) deployment drains trivially.
 func (sn *SocialNetwork) DrainFanout(timeout time.Duration) error {
-	if sn.Broker == nil {
-		return nil
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		lag := sn.Broker.GroupLag(timelineTopic, fanoutGroup)
-		if lag == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("socialnetwork: fanout backlog still %d after %v", lag, timeout)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	return sn.Broker.Drain(timelineTopic, fanoutGroup, timeout)
 }
 
 // Close stops the fanout consumer replicas; call before closing the app.
@@ -287,12 +265,12 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 	})
 	if cfg.AsyncFanout {
 		start("fanout", func(s *rpc.Server) {
-			sn.addConsumer(registerFanoutConsumer(s,
+			sn.addConsumer(startFanoutConsumer(
 				stack.MQ("fanout", "broker"),
 				cl("fanout", "socialGraph"),
 				db("fanout", "db-timeline"),
 				mc("fanout", "mc-timeline"),
-				cfg.FanoutWorkers, cfg.PushFanout))
+				cfg.FanoutWorkers))
 		})
 	}
 	start("readTimeline", func(s *rpc.Server) {
@@ -337,7 +315,7 @@ func New(app *core.App, cfg Config) (*SocialNetwork, error) {
 		return nil, err
 	}
 	// Stop the fanout consumers on app teardown even when the caller never
-	// calls SocialNetwork.Close: their long polls must not outlive the stack.
+	// calls SocialNetwork.Close: their push sessions must not outlive the stack.
 	app.OnClose(sn.Close)
 
 	// Front door (nginx tier).
